@@ -4,8 +4,8 @@
 // stripes), and serves the federation RPC surface the fed.Coordinator
 // scatters probe batches to:
 //
-//	POST /sweep      streamed zone-join over a probe batch (NDJSON)
-//	GET  /exchange   one zone's raw rows, for a neighbouring stripe
+//	POST /sweep      streamed zone-join over a probe batch (binary frames)
+//	GET  /exchange   one zone's raw rows, for a neighbouring stripe (frames)
 //	GET  /stats      stripe stats + exact wire-byte counters (JSON)
 //	GET  /healthz    200 once the exchange finished / 503 before
 //	GET  /metrics    Prometheus text exposition (fed_worker_* families)

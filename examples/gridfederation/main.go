@@ -126,7 +126,7 @@ func main() {
 	// Byte accounting: exact wire counts from the workers' socket
 	// counters — no longer the in-process model's estimates. The probe
 	// and hit streams are the price of federating at sweep granularity
-	// (every neighbourhood crosses the wire as JSON); the paper's
+	// (every neighbourhood crosses the wire, 61 B per hit); the paper's
 	// code-to-data claim shows up in the boundary exchange, which is a
 	// tiny one-off against the per-field file-shipping baseline.
 	stats, err := c.TransferStats(ctx)

@@ -731,11 +731,13 @@ func (s *Server) workerLoop(q *jobQueue, timeout time.Duration) {
 // observability point: the lifecycle counters, the trace span, and the
 // structured query log all record here, once, after the job is terminal.
 func (s *Server) runJob(j *Job, timeout time.Duration) {
+	// Deferred first, so it runs last: a caller woken by Wait (or a quick
+	// Submit) must find every gauge settled, running included.
+	defer j.markDone()
 	j.mu.Lock()
 	if j.status != StatusQueued {
 		// Cancelled between admission and pop.
 		j.mu.Unlock()
-		j.markDone()
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
@@ -780,7 +782,7 @@ func (s *Server) runJob(j *Job, timeout time.Duration) {
 	exec := j.finished.Sub(j.started)
 	j.mu.Unlock()
 
-	// Record before markDone: a caller woken by Wait (or a quick Submit)
+	// Record before markDone (deferred above): a caller woken by Wait
 	// must find the completion counters bumped and the log line written.
 	sp.SetAttr("status", status.String())
 	sp.SetAttr("attempts", fmt.Sprint(attempts))
@@ -807,7 +809,6 @@ func (s *Server) runJob(j *Job, timeout time.Duration) {
 				"query", j.Query)
 		}
 	}
-	j.markDone()
 }
 
 // runAttempts executes the job, retrying on transient faults (bounded by

@@ -249,12 +249,15 @@ func TestRetryTransient(t *testing.T) {
 // submission is rejected with ErrRateLimited, and tokens refill with time.
 func TestRateLimit(t *testing.T) {
 	srv, _ := newRobustServer(t, Config{QuickWorkers: 1, LongWorkers: 1, UserQPS: 1, UserBurst: 1})
-	clock := time.Now()
+	// The fake clock is read by the worker goroutine (job timestamps)
+	// while the test advances it, so it moves atomically.
+	start := time.Now()
+	var elapsed atomic.Int64
 	srv.mu.Lock()
-	srv.now = func() time.Time { return clock }
+	srv.now = func() time.Time { return start.Add(time.Duration(elapsed.Load())) }
 	// Reset the user's bucket under the fake clock.
 	u := srv.users["ana"]
-	u.tokens, u.lastRefill = 1, clock
+	u.tokens, u.lastRefill = 1, start
 	srv.mu.Unlock()
 
 	j, err := srv.Submit("ana", "MYDB", "SELECT x FROM one", "", false)
@@ -264,7 +267,7 @@ func TestRateLimit(t *testing.T) {
 	if _, err := srv.Submit("ana", "MYDB", "SELECT x FROM one", "", false); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("second submit error = %v, want ErrRateLimited", err)
 	}
-	clock = clock.Add(2 * time.Second) // refill at 1 QPS
+	elapsed.Add(int64(2 * time.Second)) // refill at 1 QPS
 	if _, err := srv.Submit("ana", "MYDB", "SELECT x FROM one", "", false); err != nil {
 		t.Fatalf("submit after refill: %v", err)
 	}

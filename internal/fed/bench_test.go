@@ -4,7 +4,8 @@ package fed_test
 // purpose: linking net/http into the root benchmark binary would change
 // BenchmarkTable1NoPartition's allocation profile, which CI gates
 // byte-exactly. Here the federation overhead is measured against the
-// in-process sweep answering the same probes over the same rows.
+// in-process sweep answering the same probes over the same rows, and
+// the hit stream's measured wire bytes are reported per hit.
 
 import (
 	"context"
@@ -61,6 +62,7 @@ func BenchmarkFederatedSweep(b *testing.B) {
 		localNs = min(localNs, time.Since(start).Nanoseconds())
 	}
 
+	st0 := c.CoordStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var hits int64
@@ -73,8 +75,10 @@ func BenchmarkFederatedSweep(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	st1 := c.CoordStats()
 	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(perOp/1e9, "elapsed_s")
 	b.ReportMetric(perOp/float64(localNs), "fed_overhead_x")
 	b.ReportMetric(float64(wantHits), "hits")
+	b.ReportMetric(float64(st1.HitBytesIn-st0.HitBytesIn)/float64(st1.Hits-st0.Hits), "hit_bytes/hit")
 }

@@ -41,7 +41,7 @@ func TestChaosRetryTransient(t *testing.T) {
 }
 
 // TestChaosMidStreamDeath kills a worker connection after it has
-// already streamed hits: the truncated NDJSON stream (no trailer) must
+// already streamed hits: the truncated frame stream (no trailer) must
 // read as transient, and the retry must not double-count the hits the
 // dead attempt already delivered.
 func TestChaosMidStreamDeath(t *testing.T) {

@@ -101,13 +101,6 @@ func (c *Coordinator) EnableMetrics(reg *telemetry.Registry) {
 	registerCoordMetrics(reg, c)
 }
 
-// fedHit is one buffered worker hit, tagged with the caller's global
-// probe index.
-type fedHit struct {
-	p   int32
-	row zone.ZoneRow
-}
-
 // Sweep is the federated zone.Sweep: it answers the probe batch from
 // the stripe workers and calls fn exactly as a centralised sweep over
 // the full zone table would — same hits, same order, fn never called
@@ -117,7 +110,8 @@ type fedHit struct {
 // a local sweep's error contract.
 func (c *Coordinator) Sweep(ctx context.Context, probes []zone.Probe, fn func(int, zone.ZoneRow)) error {
 	n := len(c.topo.Stripes)
-	lists := make([][]wireProbe, n)
+	bodies := make([][]byte, n) // per-stripe probe frames
+	counts := make([]int64, n)
 	h := c.topo.Height()
 	for pi, p := range probes {
 		if p.R < 0 {
@@ -129,22 +123,23 @@ func (c *Coordinator) Sweep(ctx context.Context, probes []zone.Probe, fn func(in
 				maxZ < c.ownedMin[si] || minZ > c.ownedMax[si] {
 				continue
 			}
-			lists[si] = append(lists[si], wireProbe{I: int32(pi), Ra: p.Ra, Dec: p.Dec, R: p.R})
+			bodies[si] = appendProbe(bodies[si], int32(pi), p)
+			counts[si]++
 		}
 	}
 	c.ctr.sweeps.Add(1)
 	participants := 0
 	for si := 0; si < n; si++ {
-		if len(lists[si]) > 0 {
+		if counts[si] > 0 {
 			participants++
-			c.ctr.probes.Add(int64(len(lists[si])))
+			c.ctr.probes.Add(counts[si])
 		}
 	}
 	if participants == 0 {
 		return nil
 	}
 	for si := 0; si < n; si++ {
-		if len(lists[si]) == 0 {
+		if counts[si] == 0 {
 			c.ctr.pruned[si].Add(1)
 		}
 	}
@@ -161,14 +156,11 @@ func (c *Coordinator) Sweep(ctx context.Context, probes []zone.Probe, fn func(in
 	results := make([]result, n)
 	done := make([]chan struct{}, n)
 	for si := 0; si < n; si++ {
-		if len(lists[si]) == 0 {
+		if counts[si] == 0 {
 			continue
 		}
 		done[si] = make(chan struct{})
-		body, err := json.Marshal(sweepRequest{Probes: lists[si]})
-		if err != nil {
-			return err
-		}
+		body := appendTrailer(bodies[si], counts[si], nil)
 		wg.Add(1)
 		go func(si int, body []byte) {
 			defer wg.Done()
@@ -200,14 +192,36 @@ func (c *Coordinator) Sweep(ctx context.Context, probes []zone.Probe, fn func(in
 			fn(int(ht.p), ht.row)
 		}
 		c.ctr.hits.Add(int64(len(results[si].hits)))
+		putHits(results[si].hits)
 		results[si].hits = nil
 	}
 	return nil
 }
 
+// hitBufs recycles per-attempt hit buffers (*[]fedHit): Sweep returns
+// a stripe's buffer once fn has seen its hits, and attempt returns a
+// failed attempt's. Every attempt still decodes into a buffer no other
+// attempt holds, so recycling never mixes two attempts' hits.
+var hitBufs sync.Pool
+
+func getHits() []fedHit {
+	if p, ok := hitBufs.Get().(*[]fedHit); ok {
+		return (*p)[:0]
+	}
+	return nil
+}
+
+func putHits(h []fedHit) {
+	if cap(h) > 0 {
+		h = h[:0]
+		hitBufs.Put(&h)
+	}
+}
+
 // fetchStripe runs the retry/failover loop for one stripe's sub-batch.
-// Every attempt fills a fresh buffer and only the succeeding attempt's
-// buffer is returned, so a retried stripe can never double-count hits.
+// Every attempt fills its own emptied buffer and only the succeeding
+// attempt's buffer is returned, so a retried stripe can never
+// double-count hits.
 func (c *Coordinator) fetchStripe(ctx context.Context, si int, body []byte) ([]fedHit, error) {
 	endpoints := c.topo.Stripes[si].Endpoints
 	if len(endpoints) == 0 {
@@ -297,9 +311,9 @@ func pickErr(errs []error) error {
 }
 
 // attempt performs a single /sweep RPC and decodes the full stream
-// into a fresh buffer. Transport failures, 5xx answers, per-attempt
-// timeouts, and truncated streams classify transient; a cancelled
-// parent context and 4xx answers are permanent.
+// into an emptied buffer from hitBufs. Transport failures, 5xx
+// answers, per-attempt timeouts, and truncated streams classify
+// transient; a cancelled parent context and 4xx answers are permanent.
 func (c *Coordinator) attempt(ctx context.Context, si int, endpoint string, body []byte) ([]fedHit, error) {
 	if err := faultinject.Eval(SiteCoordRequest); err != nil {
 		return nil, err
@@ -310,7 +324,7 @@ func (c *Coordinator) attempt(ctx context.Context, si int, endpoint string, body
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/octet-stream")
 	c.ctr.scatter[si].Add(1)
 	c.ctr.probeBytesOut.Add(int64(len(body)))
 	resp, err := c.client.Do(req)
@@ -329,11 +343,9 @@ func (c *Coordinator) attempt(ctx context.Context, si int, endpoint string, body
 		}
 		return nil, err
 	}
-	var hits []fedHit
-	cr := &countingReader{r: resp.Body, n: &c.ctr.hitBytesIn}
-	if err := decodeSweepStream(cr, func(m *sweepMsg) {
-		hits = append(hits, fedHit{p: m.P, row: m.row()})
-	}); err != nil {
+	hits, err := decodeSweepStream(&countingReader{r: resp.Body, n: &c.ctr.hitBytesIn}, getHits())
+	if err != nil {
+		putHits(hits)
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}

@@ -2,9 +2,10 @@
 // partitioned MaxBCG pipeline behind a real wire protocol. A fleet of
 // stripe workers (cmd/gridworkerd) each own one declination stripe of
 // the zone table — their own sqldb, loaded at boot from a catalog
-// slice — and serve a small HTTP/JSON RPC surface (/sweep, /exchange,
-// /stats, /healthz, /metrics). A Coordinator scatters probe batches to
-// the stripes whose zone ranges they intersect, applies per-worker
+// slice — and serve a small HTTP RPC surface: /sweep and /exchange
+// stream binary frames (see wire.go), /stats, /healthz and /metrics
+// answer JSON or text. A Coordinator scatters probe batches to the
+// stripes whose zone ranges they intersect, applies per-worker
 // timeouts/retries/hedging, and merges the workers' hit streams in
 // stripe (declination) order, so the federated sweep is bit-identical
 // to a centralised zone.Sweep over the same rows.

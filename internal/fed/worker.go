@@ -40,7 +40,7 @@ const (
 	SiteCoordRequest = "fed.coord.request"
 )
 
-// streamFlushEvery bounds how many hit lines buffer before a flush, so
+// streamFlushEvery bounds how many hit frames buffer before a flush, so
 // a dying worker leaves the coordinator a meaningful partial stream
 // (which it must discard — that is what the chaos test proves).
 const streamFlushEvery = 128
@@ -270,11 +270,8 @@ func (w *Worker) fetchExchangeOnce(ctx context.Context, endpoint string, z int) 
 		}
 		return nil, err
 	}
-	var rows []sky.Galaxy
-	cr := &countingReader{r: resp.Body, n: &w.ctr.exchangeBytesIn}
-	if err := decodeExchangeStream(cr, func(m *exchangeMsg) {
-		rows = append(rows, m.galaxy())
-	}); err != nil {
+	rows, err := decodeExchangeStream(&countingReader{r: resp.Body, n: &w.ctr.exchangeBytesIn}, nil)
+	if err != nil {
 		return nil, err
 	}
 	w.ctr.exchangeRowsIn.Add(int64(len(rows)))
@@ -283,7 +280,7 @@ func (w *Worker) fetchExchangeOnce(ctx context.Context, endpoint string, z int) 
 
 // Handler mounts the worker's RPC surface:
 //
-//	POST /sweep      NDJSON hit stream for a probe batch (503 until Sync)
+//	POST /sweep      hit-frame stream for a probe-frame batch (503 until Sync)
 //	GET  /exchange   one zone's raw rows, for a neighbouring stripe
 //	GET  /stats      WorkerStats JSON
 //	GET  /healthz    200 ready / 503 syncing or draining
@@ -312,28 +309,21 @@ func (w *Worker) handleSweep(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_ = faultinject.Eval(SiteWorkerSlow) // latency-only site
-	var req sweepRequest
-	body := &countingReader{r: r.Body, n: &w.ctr.probeBytesIn}
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	probes, idx, err := decodeSweepRequest(&countingReader{r: r.Body, n: &w.ctr.probeBytesIn})
+	if err != nil {
 		fedError(rw, http.StatusBadRequest, "malformed sweep request: "+err.Error(), false)
 		return
 	}
 	w.ctr.sweeps.Add(1)
-	w.ctr.probes.Add(int64(len(req.Probes)))
+	w.ctr.probes.Add(int64(len(probes)))
 
-	probes := make([]zone.Probe, len(req.Probes))
-	idx := make([]int32, len(req.Probes))
-	for i, p := range req.Probes {
-		probes[i] = zone.Probe{Ra: p.Ra, Dec: p.Dec, R: p.R}
-		idx[i] = p.I
-	}
-
-	rw.Header().Set("Content-Type", "application/x-ndjson")
-	bw := bufio.NewWriter(&countingWriter{w: rw, n: &w.ctr.hitBytesOut})
-	enc := json.NewEncoder(bw)
+	rw.Header().Set("Content-Type", "application/octet-stream")
+	bw := bufio.NewWriterSize(&countingWriter{w: rw, n: &w.ctr.hitBytesOut},
+		streamFlushEvery*hitFrameLen)
+	frame := make([]byte, 0, hitFrameLen)
 	var hits, sinceFlush int64
 	src := zone.TableSource(w.zoneT, w.topo.Height())
-	err := zone.Sweep(r.Context(), src, probes,
+	err = zone.Sweep(r.Context(), src, probes,
 		zone.SweepOptions{Workers: w.sweepWorkers}, func(pi int, zr zone.ZoneRow) {
 			if ferr := faultinject.Eval(SiteWorkerStream); ferr != nil {
 				// Die mid-stream: flush what the wire already has, then
@@ -341,21 +331,15 @@ func (w *Worker) handleSweep(rw http.ResponseWriter, r *http.Request) {
 				_ = bw.Flush()
 				panic(http.ErrAbortHandler)
 			}
-			m := sweepMsg{P: idx[pi], ObjID: zr.ObjID, Ra: zr.Ra, Dec: zr.Dec,
-				Dist: zr.Distance, MagI: zr.I, Gr: zr.Gr, Ri: zr.Ri}
-			_ = enc.Encode(&m)
+			frame = appendHit(frame[:0], idx[pi], &zr)
+			_, _ = bw.Write(frame)
 			hits++
 			if sinceFlush++; sinceFlush >= streamFlushEvery {
 				sinceFlush = 0
 				_ = bw.Flush()
 			}
 		})
-	trailer := sweepMsg{Done: true, Hits: hits}
-	if err != nil {
-		trailer.Err = err.Error()
-		trailer.Transient = faultinject.IsTransient(err)
-	}
-	_ = enc.Encode(&trailer)
+	_, _ = bw.Write(appendTrailer(frame[:0], hits, err))
 	_ = bw.Flush()
 	w.ctr.hits.Add(hits)
 }
@@ -370,19 +354,19 @@ func (w *Worker) handleExchange(rw http.ResponseWriter, r *http.Request) {
 		fedError(rw, http.StatusInternalServerError, ferr.Error(), faultinject.IsTransient(ferr))
 		return
 	}
-	rw.Header().Set("Content-Type", "application/x-ndjson")
+	rw.Header().Set("Content-Type", "application/octet-stream")
 	bw := bufio.NewWriter(&countingWriter{w: rw, n: &w.ctr.exchangeBytesOut})
-	enc := json.NewEncoder(bw)
+	var frame []byte
 	var rows int64
 	for i := range w.raw {
 		if w.rawZone[i] != z {
 			continue
 		}
-		m := galaxyMsg(w.raw[i])
-		_ = enc.Encode(&m)
+		frame = appendRow(frame[:0], &w.raw[i])
+		_, _ = bw.Write(frame)
 		rows++
 	}
-	_ = enc.Encode(&exchangeMsg{Done: true, Rows: rows})
+	_, _ = bw.Write(appendTrailer(frame[:0], rows, nil))
 	_ = bw.Flush()
 	w.ctr.exchangeRowsOut.Add(rows)
 }
